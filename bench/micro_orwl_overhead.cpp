@@ -144,7 +144,6 @@ double run_writers(RuntimeOptions::ControlMode mode, sync::WaitStrategy wait,
                    obs::HistogramSnapshot* wait_out = nullptr) {
   RuntimeOptions opts;
   opts.control = mode;
-  opts.record_flows = false;
   opts.wait = wait;
   Runtime rt(opts);
   const LocationId loc = rt.add_location(64);
@@ -203,9 +202,9 @@ Micro runtime_contention(int writers) {
 }
 
 // Shared reads: one writer, N readers per round. `batch` A/Bs the batched
-// shared-read announcement (RuntimeOptions::batch_grants); the batched
-// cases keep the historical unsuffixed names so recordings stay
-// comparable, the per-grant path gets a /nobatch suffix.
+// shared-read announcement (FifoQueue::set_batch_grants, on by default);
+// the batched cases keep the historical unsuffixed names so recordings
+// stay comparable, the per-grant path gets a /nobatch suffix.
 Micro runtime_shared_reads(int readers, bool batch = true) {
   const int rounds = 500;
   auto hist = std::make_shared<obs::HistogramSnapshot>();
@@ -216,10 +215,9 @@ Micro runtime_shared_reads(int readers, bool batch = true) {
           [readers, rounds, batch, hist] {
             RuntimeOptions opts;
             opts.control = RuntimeOptions::ControlMode::Direct;
-            opts.record_flows = false;
-            opts.batch_grants = batch;
             Runtime rt(opts);
             const LocationId loc = rt.add_location(4096);
+            rt.location_queue(loc).set_batch_grants(batch);
             const auto body = [rounds](Handle& h) {
               for (int r = 0; r < rounds; ++r) {
                 h.acquire();

@@ -13,11 +13,10 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "orwl/backend.h"
+#include "sim/calibration.h"
 #include "sim/simulator.h"
 #include "support/assert.h"
 #include "topo/topology.h"
-
-#include <unistd.h>  // gethostname
 
 namespace orwl::harness {
 
@@ -62,12 +61,6 @@ std::string iso_utc_now() {
   return buf;
 }
 
-std::string host_name() {
-  char buf[256] = {};
-  if (gethostname(buf, sizeof(buf) - 1) != 0) return "unknown";
-  return buf;
-}
-
 void write_stats(JsonWriter& json, const std::string& prefix,
                  const Stats& s) {
   json.member(prefix + "_median", s.median);
@@ -86,7 +79,7 @@ void emit_document(std::ostream& os, const std::string& bench,
   json.begin_object("context");
   json.member("bench", bench);
   json.member("date", iso_utc_now());
-  json.member("host_name", host_name());
+  json.member("host_fingerprint", sim::host_fingerprint());
   json.member("harness_schema", 3);
   if (context_extra) context_extra(json);
   json.end_object();

@@ -7,14 +7,13 @@
 //
 // The consumer parks on an atomic sequence word through the shared sync::
 // waiter (same wait-strategy knob as every other parking point of the
-// core) instead of a condition variable: post() bumps the sequence and
-// notifies; pop() re-checks the backlog whenever the sequence moves, so a
-// post between the backlog check and the park is never missed.
+// core) instead of a condition variable: post_batch() bumps the sequence
+// and notifies; pop_all() re-checks the backlog whenever the sequence
+// moves, so a post between the backlog check and the park is never missed.
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -39,28 +38,25 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Enqueue an event. Safe from any thread, including while a location
-  /// queue lock is held.
-  void post(Event ev) ORWL_EXCLUDES(mu_);
-
   /// Enqueue a batch of events with ONE lock acquisition, ONE sequence
   /// bump and ONE wake — the posting half of the batched shared-read
   /// grant path (a run of N readers costs one EventQueue hop, not N).
-  /// Same thread-safety contract as post(). Empty spans are a no-op.
+  /// Safe from any thread, including while a location queue lock is held.
+  /// Empty spans are a no-op.
   void post_batch(std::span<const Event> evs) ORWL_EXCLUDES(mu_);
 
-  /// Block until an event is available or stop() is called.
-  /// Returns nullopt once stopped and drained.
-  std::optional<Event> pop() ORWL_EXCLUDES(mu_);
+  /// Enqueue one event: the one-event case of post_batch().
+  void post(Event ev) ORWL_EXCLUDES(mu_) { post_batch({&ev, 1}); }
 
-  /// Batched pop: block like pop(), then drain the ENTIRE backlog in one
-  /// pass, appending it to `out` (one lock acquisition per wake instead of
-  /// one per event — the burst path of the control threads). Returns
-  /// false once stopped and drained, leaving `out` untouched.
+  /// Block until an event is available or stop() is called, then drain
+  /// the ENTIRE backlog in one pass, appending it to `out` (one lock
+  /// acquisition per wake instead of one per event — the burst path of
+  /// the control threads). Returns false once stopped and drained,
+  /// leaving `out` untouched.
   bool pop_all(std::vector<Event>& out) ORWL_EXCLUDES(mu_);
 
-  /// Wake all poppers; subsequent pops drain the backlog then return
-  /// nullopt.
+  /// Wake all poppers; subsequent pop_all() calls drain the backlog then
+  /// return false.
   void stop() ORWL_EXCLUDES(mu_);
 
   /// Events currently queued (diagnostics).

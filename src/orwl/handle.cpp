@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "obs/trace.h"
+#include "orwl/instrument.h"
 #include "support/assert.h"
 #include "sync/waiter.h"
 
@@ -101,6 +102,7 @@ void Handle::release() {
   ORWL_CHECK_MSG(acquired_, "release() without acquire()");
   acquired_ = false;
   obs::trace(obs::EventKind::Release, static_cast<std::uint64_t>(id_));
+  if (stats_ != nullptr) stats_->record_release();
   location_.port().release(current());
 }
 
@@ -108,6 +110,7 @@ void Handle::release_and_renew() {
   ORWL_CHECK_MSG(acquired_, "release_and_renew() without acquire()");
   acquired_ = false;
   obs::trace(obs::EventKind::Release, static_cast<std::uint64_t>(id_));
+  if (stats_ != nullptr) stats_->record_release();
   // The spare slot becomes the next-iteration request; it may be granted
   // (and delivered) before release_and_renew returns.
   Request& cur = current();

@@ -30,6 +30,8 @@
 
 namespace orwl {
 
+class Instrument;
+
 class Handle {
  public:
   Handle(HandleId id, TaskId task, LocationBuffer& location, AccessMode mode,
@@ -79,11 +81,14 @@ class Handle {
   static void deliver_grant(Request& req) { sync::notify_all(req.state); }
 
   /// Wire the per-handle observability sinks (done by Runtime::add_handle;
-  /// either may be null). `wait_rounds` gets every acquire's spin-round
-  /// count (one relaxed fetch_add — always on); `acquire_ns` gets
-  /// wall-clock acquire latency, recorded only while
-  /// obs::detailed_metrics_enabled() since it costs two clock reads.
-  void set_metrics(obs::Histogram* wait_rounds, obs::Histogram* acquire_ns) {
+  /// any may be null). `stats` counts every release and release_and_renew
+  /// (orwl.releases); `wait_rounds` gets every acquire's spin-round count
+  /// (one relaxed fetch_add — always on); `acquire_ns` gets wall-clock
+  /// acquire latency, recorded only while obs::detailed_metrics_enabled()
+  /// since it costs two clock reads.
+  void set_metrics(Instrument* stats, obs::Histogram* wait_rounds,
+                   obs::Histogram* acquire_ns) {
+    stats_ = stats;
     wait_rounds_ = wait_rounds;
     acquire_ns_ = acquire_ns;
   }
@@ -110,7 +115,8 @@ class Handle {
   int active_ = 0;
   bool acquired_ = false;  // owner-thread view; no lock needed
 
-  obs::Histogram* wait_rounds_ = nullptr;  // observability sinks, optional
+  Instrument* stats_ = nullptr;  // observability sinks, optional
+  obs::Histogram* wait_rounds_ = nullptr;
   obs::Histogram* acquire_ns_ = nullptr;
   const sync::AdaptiveWaitBudget* spin_budget_ = nullptr;  // Auto mode
 };

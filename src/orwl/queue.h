@@ -212,8 +212,9 @@ class FifoQueue : public RequestPort {
 
   /// Batched shared-read announcement (on by default): a head run of >= 2
   /// concurrent readers is announced through one on_grant_batch call
-  /// instead of per-request on_grant calls. Quiescent setup only (the
-  /// runtime applies RuntimeOptions::batch_grants; benches A/B it).
+  /// instead of per-request on_grant calls. Quiescent setup only; the
+  /// runtime always batches, and the micro bench turns it off through
+  /// Runtime::location_queue for its /nobatch A/B cases.
   void set_batch_grants(bool on) { batch_grants_ = on; }
 
   /// The grant-path combiner — exposed for stats (handoffs/cross_node

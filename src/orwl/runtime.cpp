@@ -18,16 +18,7 @@ namespace orwl {
 Handle& TaskContext::handle(HandleId h) { return runtime_.handle(h); }
 
 Runtime::Runtime(RuntimeOptions opts)
-    : opts_(opts), arena_({.policy = opts.memory}), stats_(0, metrics_) {
-  if (opts_.control == RuntimeOptions::ControlMode::SharedPool) {
-    ORWL_CHECK_MSG(opts_.shared_control_threads >= 1,
-                   "shared control pool needs at least one thread");
-    for (int i = 0; i < opts_.shared_control_threads; ++i)
-      shared_queues_.push_back(std::make_unique<EventQueue>(opts_.wait));
-    shared_bindings_.resize(
-        static_cast<std::size_t>(opts_.shared_control_threads));
-  }
-}
+    : opts_(opts), arena_({.policy = opts.memory}), stats_(0, metrics_) {}
 
 Runtime::~Runtime() = default;
 
@@ -39,7 +30,6 @@ LocationId Runtime::add_location(std::size_t bytes, std::string name) {
   locations_.push_back(std::make_unique<LocationBuffer>(
       id, arena_.allocate(bytes), std::move(name),
       static_cast<GrantSink*>(this)));
-  locations_.back()->queue().set_batch_grants(opts_.batch_grants);
   return id;
 }
 
@@ -53,7 +43,6 @@ LocationId Runtime::add_shared_location(std::span<std::byte> bytes,
   locations_.push_back(std::make_unique<LocationBuffer>(
       id, mem::Segment::external_view(bytes.data(), bytes.size()),
       std::move(name), static_cast<GrantSink*>(this)));
-  locations_.back()->queue().set_batch_grants(opts_.batch_grants);
   return id;
 }
 
@@ -110,7 +99,7 @@ HandleId Runtime::add_handle(TaskId task, LocationId location, AccessMode mode,
   const std::string suffix = "/h" + std::to_string(id);
   obs::Histogram& wait_rounds =
       metrics_.histogram("orwl.wait_rounds" + suffix);
-  handles_.back()->set_metrics(&wait_rounds,
+  handles_.back()->set_metrics(&stats_, &wait_rounds,
                                &metrics_.histogram("orwl.acquire_ns" + suffix));
   if (opts_.wait.mode == sync::WaitMode::Auto) {
     // Self-tuning wait: the handle re-reads this budget every acquire;
@@ -135,15 +124,6 @@ void Runtime::set_compute_binding(TaskId task, topo::Bitmap cpuset) {
 void Runtime::set_control_binding(TaskId task, topo::Bitmap cpuset) {
   ORWL_CHECK_MSG(task >= 0 && task < num_tasks(), "unknown task " << task);
   tasks_[static_cast<std::size_t>(task)].control_bind = std::move(cpuset);
-}
-
-void Runtime::set_shared_control_binding(int pool_index, topo::Bitmap cpuset) {
-  ORWL_CHECK_MSG(opts_.control == RuntimeOptions::ControlMode::SharedPool,
-                 "shared control bindings need ControlMode::SharedPool");
-  ORWL_CHECK_MSG(pool_index >= 0 &&
-                     pool_index < static_cast<int>(shared_bindings_.size()),
-                 "pool index " << pool_index << " out of range");
-  shared_bindings_[static_cast<std::size_t>(pool_index)] = std::move(cpuset);
 }
 
 void Runtime::set_epoch_hook(int epoch_length, EpochHook hook) {
@@ -326,7 +306,7 @@ std::size_t Runtime::location_size(LocationId loc) const {
   return locations_[static_cast<std::size_t>(loc)]->size();
 }
 
-void Runtime::on_grant(Request& req) {
+bool Runtime::book_grant(Request& req) {
   // Called with the location queue lock held — keep it lean. The trace
   // hook is one relaxed flag load when tracing is off.
   obs::trace(obs::EventKind::Grant, static_cast<std::uint64_t>(req.handle));
@@ -340,54 +320,43 @@ void Runtime::on_grant(Request& req) {
     ORWL_ASSERT_MSG(remote_sink_ != nullptr,
                     "remote-owned grant with no remote sink installed");
     remote_sink_->on_grant(req);
-    return;
+    return false;
   }
   // Reads consume the last writer's bytes; a write-after-write moves
   // ownership of the buffer — either way the flow edge is the same.
   // (record_flow ignores negative producers, so a remote last writer
   // simply drops the edge — cross-process flows are the transport's
   // metrics, not this Instrument's.)
-  if (opts_.record_flows)
-    stats_.record_flow(loc.last_writer(), req.owner, loc.size());
+  stats_.record_flow(loc.last_writer(), req.owner, loc.size());
   if (req.mode == AccessMode::Write) loc.set_last_writer(req.owner);
-  route_grant(req);
+  return true;
+}
+
+void Runtime::on_grant(Request& req) {
+  if (book_grant(req)) route_grant(req);
 }
 
 void Runtime::route_grant(Request& req) {
-  // Inline idle delivery (RuntimeOptions::inline_idle_delivery): an empty
-  // control backlog means there is nothing to batch, so the hop through
-  // the control thread would only add wake latency — deliver here. The
-  // idle() probe is advisory; a stale answer is safe either way because
-  // delivery is a notify (idempotent, the waiter re-checks state).
-  switch (opts_.control) {
-    case RuntimeOptions::ControlMode::Direct:
-      Handle::deliver_grant(req);
-      break;
-    case RuntimeOptions::ControlMode::PerTask: {
-      EventQueue& q = *tasks_[static_cast<std::size_t>(req.owner)].events;
-      if (opts_.inline_idle_delivery && q.idle())
-        Handle::deliver_grant(req);
-      else
-        q.post({&req});
-      break;
-    }
-    case RuntimeOptions::ControlMode::SharedPool: {
-      EventQueue& q = *shared_queues_[static_cast<std::size_t>(req.owner) %
-                                      shared_queues_.size()];
-      if (opts_.inline_idle_delivery && q.idle())
-        Handle::deliver_grant(req);
-      else
-        q.post({&req});
-      break;
-    }
+  // Inline idle delivery: an empty control backlog means there is nothing
+  // to batch, so the hop through the control thread would only add wake
+  // latency — deliver here. The idle() probe is advisory; a stale answer
+  // is safe either way because delivery is a notify (idempotent, the
+  // waiter re-checks state).
+  if (opts_.control == RuntimeOptions::ControlMode::Direct) {
+    Handle::deliver_grant(req);
+    return;
   }
+  EventQueue& q = *tasks_[static_cast<std::size_t>(req.owner)].events;
+  if (q.idle())
+    Handle::deliver_grant(req);
+  else
+    q.post({&req});
 }
 
 void Runtime::on_grant_batch(std::span<Request* const> reqs) {
-  // A whole shared-read run in one announcement. The per-request
-  // bookkeeping below is exactly on_grant's; the batch buys one virtual
-  // dispatch for the run plus the grouped routing at the end (one event
-  // post and one wake per destination queue instead of one per reader).
+  // A whole shared-read run in one announcement: one virtual dispatch for
+  // the run plus the grouped routing at the end (one event post and one
+  // wake per destination queue instead of one per reader).
   obs::trace(obs::EventKind::GrantBatch, reqs.size());
   // Scratch is thread-local, not a member: combiners of DIFFERENT
   // locations may announce concurrently, and one thread never nests
@@ -395,27 +364,8 @@ void Runtime::on_grant_batch(std::span<Request* const> reqs) {
   // vector is warm — no allocation on the grant path.
   thread_local std::vector<Request*> local;
   local.clear();
-  for (Request* req : reqs) {
-    obs::trace(obs::EventKind::Grant, static_cast<std::uint64_t>(req->handle));
-    stats_.record_grant(req->mode);
-    LocationBuffer& loc =
-        *locations_[static_cast<std::size_t>(req->location)];
-    if (req->owner == kRemoteOwner) {
-      // Proxied peer request (see on_grant): not a local task, so it must
-      // not reach the task table or flow shards — the transport publishes
-      // it into the shm ring. Batches are read runs, but keep the
-      // last-writer discipline symmetric with on_grant anyway.
-      if (req->mode == AccessMode::Write) loc.set_last_writer(kRemoteOwner);
-      ORWL_ASSERT_MSG(remote_sink_ != nullptr,
-                      "remote-owned grant with no remote sink installed");
-      remote_sink_->on_grant(*req);
-      continue;
-    }
-    if (opts_.record_flows)
-      stats_.record_flow(loc.last_writer(), req->owner, loc.size());
-    if (req->mode == AccessMode::Write) loc.set_last_writer(req->owner);
-    local.push_back(req);
-  }
+  for (Request* req : reqs)
+    if (book_grant(*req)) local.push_back(req);
   route_grant_batch({local.data(), local.size()});
 }
 
@@ -425,34 +375,29 @@ void Runtime::route_grant_batch(std::span<Request* const> reqs) {
     for (Request* r : reqs) Handle::deliver_grant(*r);
     return;
   }
-  const auto queue_of = [this](const Request* r) -> EventQueue& {
-    if (opts_.control == RuntimeOptions::ControlMode::PerTask)
-      return *tasks_[static_cast<std::size_t>(r->owner)].events;
-    return *shared_queues_[static_cast<std::size_t>(r->owner) %
-                           shared_queues_.size()];
-  };
-  // Group by destination queue with the same tiny-quadratic scan as
-  // deliver_batch (runs are bounded by the location's reader count). Each
-  // group goes through ONE post_batch — one lock round-trip and one wake
-  // for the whole run — unless the queue is idle, in which case the
-  // announcer delivers inline: every waiter needs its own notify no matter
-  // who issues it, so the control-thread hop would only add latency (the
-  // same reasoning as route_grant's single-grant short-cut).
+  // Group by owner — one control queue per task — with the same
+  // tiny-quadratic scan as deliver_batch (runs are bounded by the
+  // location's reader count). Each group goes through ONE post_batch —
+  // one lock round-trip and one wake for the whole run — unless the queue
+  // is idle, in which case the announcer delivers inline: every waiter
+  // needs its own notify no matter who issues it, so the control-thread
+  // hop would only add latency (route_grant's short-cut).
   thread_local std::vector<Event> events;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    EventQueue& q = queue_of(reqs[i]);
+    const TaskId owner = reqs[i]->owner;
     bool grouped = false;
     for (std::size_t j = 0; j < i; ++j) {
-      if (&queue_of(reqs[j]) == &q) {
+      if (reqs[j]->owner == owner) {
         grouped = true;
         break;
       }
     }
     if (grouped) continue;
+    EventQueue& q = *tasks_[static_cast<std::size_t>(owner)].events;
     events.clear();
     for (std::size_t j = i; j < reqs.size(); ++j)
-      if (&queue_of(reqs[j]) == &q) events.push_back({reqs[j]});
-    if (opts_.inline_idle_delivery && q.idle()) {
+      if (reqs[j]->owner == owner) events.push_back({reqs[j]});
+    if (q.idle()) {
       for (const Event& ev : events) Handle::deliver_grant(*ev.request);
     } else {
       q.post_batch({events.data(), events.size()});
@@ -476,20 +421,6 @@ void Runtime::deliver_batch(const std::vector<Event>& batch) {
       }
     }
     if (!coalesced) Handle::deliver_grant(*req);
-  }
-}
-
-void Runtime::shared_control_loop(int pool_index) {
-  set_current_thread_name("ctlpool:" + std::to_string(pool_index));
-  const auto& bind = shared_bindings_[static_cast<std::size_t>(pool_index)];
-  if (bind) topo::bind_current_thread(*bind);
-  EventQueue& queue = *shared_queues_[static_cast<std::size_t>(pool_index)];
-  // Batched delivery: drain the whole backlog per wake instead of paying
-  // one lock round-trip (and possibly one park) per event under bursts.
-  std::vector<Event> batch;
-  while (queue.pop_all(batch)) {
-    deliver_batch(batch);
-    batch.clear();
   }
 }
 
@@ -540,10 +471,6 @@ void Runtime::run() {
     control.reserve(tasks_.size());
     for (TaskId t = 0; t < num_tasks(); ++t)
       control.emplace_back([this, t] { control_loop(t); });
-  } else if (opts_.control == RuntimeOptions::ControlMode::SharedPool) {
-    control.reserve(shared_queues_.size());
-    for (int i = 0; i < static_cast<int>(shared_queues_.size()); ++i)
-      control.emplace_back([this, i] { shared_control_loop(i); });
   }
 
   sync::Mutex err_mu;
@@ -585,7 +512,6 @@ void Runtime::run() {
 
   for (auto& th : compute) th.join();
   for (auto& rec : tasks_) rec.events->stop();
-  for (auto& q : shared_queues_) q->stop();
   for (auto& th : control) th.join();
 
   // Combiner locality stats, summed over the location queues now that

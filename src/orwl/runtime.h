@@ -59,39 +59,18 @@ class Topology;
 namespace orwl {
 
 struct RuntimeOptions {
-  /// How lock grants reach the waiting compute thread.
+  /// How lock grants reach the waiting compute thread. Either way the
+  /// measured communication-flow matrix is recorded, and a head run of
+  /// >= 2 concurrent readers is announced as one batch.
   enum class ControlMode {
-    Direct,      ///< granted in the releaser's context (no control threads)
-    PerTask,     ///< routed through the owning task's control thread
-    SharedPool,  ///< routed through a small pool of control threads
+    Direct,   ///< granted in the releaser's context (no control threads)
+    /// Routed through the owning task's control thread. When that thread's
+    /// backlog is empty, the announcing thread delivers the grant itself
+    /// (one notify on the waiter's state word): the control-thread hop
+    /// would only add a futex wake and a context switch.
+    PerTask,
   };
   ControlMode control = ControlMode::PerTask;
-
-  /// Pool size for ControlMode::SharedPool. Tasks are assigned to pool
-  /// threads round-robin (task id modulo pool size).
-  int shared_control_threads = 2;
-
-  /// Record the measured communication-flow matrix (small overhead).
-  bool record_flows = true;
-
-  /// Inline idle delivery: when a grant is announced and the target
-  /// control queue's backlog is empty, the announcing thread delivers the
-  /// grant itself (one notify on the waiter's state word) instead of
-  /// posting an event — skipping a control-thread hop (futex wake, context
-  /// switch, futex wake) that buys nothing when there is no backlog to
-  /// batch. The lock-free grant path makes this safe: announcement holds
-  /// no lock, so the woken thread's next queue operation cannot convoy
-  /// behind the announcer. Control threads still drain bursts. Ignored in
-  /// ControlMode::Direct (delivery is already inline).
-  bool inline_idle_delivery = true;
-
-  /// Batched shared-read grants: a head run of >= 2 concurrent readers is
-  /// announced through ONE GrantSink::on_grant_batch call and routed with
-  /// one event post (one lock round-trip, one wake) per destination
-  /// control queue, instead of a virtual call + queue hop per reader. Off
-  /// reproduces the per-grant announcement sequence exactly (benches A/B
-  /// the two; delivery order within a run is unchanged either way).
-  bool batch_grants = true;
 
   /// How every parking point of this runtime waits (handle grant waits,
   /// control-thread event pops, the epoch barrier): block, spin, or
@@ -175,8 +154,6 @@ class Runtime : private GrantSink {
   void set_compute_binding(TaskId task, topo::Bitmap cpuset);
   /// Bind the task's control thread (PerTask mode).
   void set_control_binding(TaskId task, topo::Bitmap cpuset);
-  /// Bind a shared-pool control thread (SharedPool mode).
-  void set_shared_control_binding(int pool_index, topo::Bitmap cpuset);
 
   // --- epochs (online re-placement) ---------------------------------------
   //
@@ -290,14 +267,19 @@ class Runtime : private GrantSink {
     std::unique_ptr<EventQueue> events;
   };
 
+  /// Per-grant bookkeeping shared by on_grant and on_grant_batch: trace
+  /// event, grant counter, flow edge and last writer. A remote-owned
+  /// request is handed to the remote sink here; returns true when the
+  /// request is local and still needs routing.
+  bool book_grant(Request& req);
   /// GrantSink: called by a location FIFO (its lock held) for every newly
   /// granted request — records stats and routes delivery per ControlMode.
   // sink-contract: no-queue-reentry — only posts to event queues / notifies
   // the waiter; never calls back into the announcing FifoQueue.
   void on_grant(Request& req) override;
   /// GrantSink: one announcement for a whole shared-read run. Bookkeeping
-  /// is per request (identical to on_grant); routing is grouped so each
-  /// destination control queue is hit once per run.
+  /// is per request (book_grant); routing is grouped so each destination
+  /// control queue is hit once per run.
   // sink-contract: no-queue-reentry — same as on_grant; only posts to
   // event queues / notifies waiters, never re-enters the announcing queue.
   void on_grant_batch(std::span<Request* const> reqs) override;
@@ -311,7 +293,6 @@ class Runtime : private GrantSink {
   /// RuntimeOptions::wait is spin_then_park(auto).
   void retune_wait_budgets();
   void control_loop(TaskId task);
-  void shared_control_loop(int pool_index);
   /// Deliver a drained event batch, coalescing duplicate announcements of
   /// the same request (one notify per handle per pass).
   static void deliver_batch(const std::vector<Event>& batch);
@@ -327,8 +308,6 @@ class Runtime : private GrantSink {
   std::vector<TaskRec> tasks_;
   std::vector<std::unique_ptr<Handle>> handles_;
   std::vector<HandleId> prime_order_;
-  std::vector<std::unique_ptr<EventQueue>> shared_queues_;
-  std::vector<std::optional<topo::Bitmap>> shared_bindings_;
   obs::Registry metrics_;  // declared before stats_: Instrument borrows it
   Instrument stats_;
 

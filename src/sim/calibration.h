@@ -23,7 +23,7 @@ namespace orwl::sim {
 
 /// One host-fingerprinted measurement record.
 struct CalibrationRecord {
-  std::string host;  ///< fingerprint of the measuring host (gethostname)
+  std::string host;  ///< host_fingerprint() of the measuring host
   /// Measured futex park+wake pair (seconds); split evenly onto
   /// LinkCost::park_latency / wake_latency.
   double park_wake_pair_seconds = 0.0;
@@ -42,8 +42,18 @@ std::optional<CalibrationRecord> load_calibration_file(
 /// Serialize a record in the file format load_calibration_file reads.
 std::string format_calibration(const CalibrationRecord& rec);
 
-/// This host's fingerprint (gethostname; "unknown" when unavailable).
-std::string host_fingerprint();
+/// What identifies a host for timing comparisons: CPU model, PU count,
+/// NUMA node count, L3 size and kernel release, read under `sysfs_root`
+/// (normally "/sys") and `proc_root` (normally "/proc"), e.g.
+/// "AMD EPYC 7B13 | 4 PUs | 1 NUMA nodes | L3 32768K | kernel 6.1.0".
+/// Fields that cannot be read say "unknown"; a host without an L3 says
+/// "L3 none". Bench JSON contexts (harness) and calibration records store
+/// it; the check_* tools compare it.
+std::string host_fingerprint(const std::string& sysfs_root,
+                             const std::string& proc_root);
+
+/// This host's fingerprint (/sys, /proc), computed once and cached.
+const std::string& host_fingerprint();
 
 /// The record the environment activates for THIS host: the file named by
 /// ORWL_CALIBRATION, iff it loads and its host matches host_fingerprint().

@@ -17,32 +17,33 @@ TEST(EventQueue, StartsEmpty) {
   EXPECT_EQ(q.pending(), 0u);
 }
 
-TEST(EventQueue, PostThenPop) {
+TEST(EventQueue, PostAndPostBatchKeepFifoOrder) {
+  // post() is the one-event case of post_batch(): both append in order.
   EventQueue q;
-  Request r;
-  q.post({&r});
-  EXPECT_EQ(q.pending(), 1u);
-  const auto ev = q.pop();
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->request, &r);
+  Request r[4];
+  q.post({&r[0]});
+  const Event run[] = {{&r[1]}, {&r[2]}};
+  q.post_batch(run);
+  q.post_batch({});  // empty batch: no-op
+  q.post({&r[3]});
+  EXPECT_EQ(q.pending(), 4u);
+  EXPECT_FALSE(q.idle());
+  std::vector<Event> batch;
+  ASSERT_TRUE(q.pop_all(batch));
+  ASSERT_EQ(batch.size(), 4u);
+  for (int i = 0; i < 4; ++i)
+    EXPECT_EQ(batch[static_cast<std::size_t>(i)].request, &r[i]);
   EXPECT_EQ(q.pending(), 0u);
-}
-
-TEST(EventQueue, FifoOrder) {
-  EventQueue q;
-  Request r[3];
-  for (auto& x : r) q.post({&x});
-  EXPECT_EQ(q.pop()->request, &r[0]);
-  EXPECT_EQ(q.pop()->request, &r[1]);
-  EXPECT_EQ(q.pop()->request, &r[2]);
+  EXPECT_TRUE(q.idle());
 }
 
 TEST(EventQueue, StopUnblocksPopper) {
   EventQueue q;
   std::atomic<bool> returned{false};
   std::thread popper([&] {
-    const auto ev = q.pop();
-    EXPECT_FALSE(ev.has_value());
+    std::vector<Event> batch;
+    EXPECT_FALSE(q.pop_all(batch));
+    EXPECT_TRUE(batch.empty());
     returned = true;
   });
   // Give the popper a moment to block, then stop.
@@ -58,9 +59,12 @@ TEST(EventQueue, DrainsBacklogAfterStop) {
   q.post({&r[0]});
   q.post({&r[1]});
   q.stop();
-  EXPECT_EQ(q.pop()->request, &r[0]);
-  EXPECT_EQ(q.pop()->request, &r[1]);
-  EXPECT_FALSE(q.pop().has_value());
+  std::vector<Event> batch;
+  ASSERT_TRUE(q.pop_all(batch));
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].request, &r[0]);
+  EXPECT_EQ(batch[1].request, &r[1]);
+  EXPECT_FALSE(q.pop_all(batch));
 }
 
 TEST(EventQueue, PostAfterStopStillDelivered) {
@@ -70,7 +74,10 @@ TEST(EventQueue, PostAfterStopStillDelivered) {
   q.stop();
   Request r;
   q.post({&r});
-  EXPECT_EQ(q.pop()->request, &r);
+  std::vector<Event> batch;
+  ASSERT_TRUE(q.pop_all(batch));
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].request, &r);
 }
 
 TEST(EventQueue, PopAllDrainsTheWholeBacklogInOnePass) {
@@ -129,29 +136,6 @@ TEST(EventQueue, ManyProducersOneBatchedConsumer) {
         received += static_cast<int>(batch.size());
         batch.clear();
       }
-    }
-  });
-  for (auto& t : producers) t.join();
-  consumer.join();
-  EXPECT_EQ(received, kProducers * kPerProducer);
-}
-
-TEST(EventQueue, ManyProducersOneConsumer) {
-  EventQueue q;
-  constexpr int kProducers = 8;
-  constexpr int kPerProducer = 500;
-  std::vector<Request> reqs(kProducers * kPerProducer);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i)
-        q.post({&reqs[static_cast<std::size_t>(p * kPerProducer + i)]});
-    });
-  }
-  int received = 0;
-  std::thread consumer([&] {
-    while (received < kProducers * kPerProducer) {
-      if (q.pop().has_value()) ++received;
     }
   });
   for (auto& t : producers) t.join();

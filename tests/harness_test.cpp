@@ -161,7 +161,7 @@ TEST(Harness, JsonSchemaGolden) {
   const std::string got = os.str();
   expect_balanced_json(got);
   for (const char* key :
-       {"\"context\"", "\"date\"", "\"host_name\"", "\"harness_schema\"",
+       {"\"context\"", "\"date\"", "\"host_fingerprint\"", "\"harness_schema\"",
         "\"benchmarks\"", "\"name\"", "\"workload\"", "\"backend\"",
         "\"policy\"", "\"topology\"", "\"tasks\"", "\"size\"",
         "\"iterations\"", "\"num_tasks\"", "\"warmup\"", "\"repetitions\"",

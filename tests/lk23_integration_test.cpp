@@ -139,17 +139,6 @@ TEST(OrwlVsForkJoin, IdenticalFields) {
   EXPECT_EQ(max_abs_diff(orwl_res.za, fj_res.za), 0.0);
 }
 
-TEST(OrwlLk23, SharedPoolControlModeIdentical) {
-  const Spec spec = small_spec();
-  const auto topo = topo::Topology::host();
-  RuntimeOptions opts;
-  opts.control = RuntimeOptions::ControlMode::SharedPool;
-  opts.shared_control_threads = 3;
-  const OrwlRunResult res =
-      run_orwl(spec, place::Policy::TreeMatch, topo, opts);
-  EXPECT_EQ(max_abs_diff(res.za, blocked_reference(spec)), 0.0);
-}
-
 TEST(OrwlLk23, ForeignTopologyBindingsFailGracefully) {
   // Planning against the paper's 192-core machine on a small host: the
   // cpusets name CPUs that do not exist, bind_current_thread returns

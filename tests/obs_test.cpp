@@ -367,9 +367,7 @@ std::uint64_t histogram_count(const obs::RegistrySnapshot& snap,
 }
 
 void run_two_writers() {
-  RuntimeOptions opts;
-  opts.record_flows = false;
-  Runtime rt(opts);
+  Runtime rt;
   const LocationId loc = rt.add_location(64);
   for (int i = 0; i < 2; ++i)
     rt.add_task("w" + std::to_string(i), [i](TaskContext& ctx) {

@@ -19,7 +19,6 @@ class StressTest
   RuntimeOptions opts() {
     RuntimeOptions o;
     o.control = GetParam();
-    o.shared_control_threads = 3;
     return o;
   }
 };
@@ -211,13 +210,11 @@ TEST_P(StressTest, ManyLocationsManyTasks) {
 INSTANTIATE_TEST_SUITE_P(
     ControlModes, StressTest,
     ::testing::Values(RuntimeOptions::ControlMode::Direct,
-                      RuntimeOptions::ControlMode::PerTask,
-                      RuntimeOptions::ControlMode::SharedPool),
+                      RuntimeOptions::ControlMode::PerTask),
     [](const auto& info) {
       switch (info.param) {
         case RuntimeOptions::ControlMode::Direct: return "Direct";
         case RuntimeOptions::ControlMode::PerTask: return "PerTask";
-        case RuntimeOptions::ControlMode::SharedPool: return "SharedPool";
       }
       return "Unknown";
     });

@@ -24,8 +24,7 @@ RuntimeOptions direct_mode() {
 
 TEST(Runtime, SingleTaskWritesLocation) {
   for (auto mode : {RuntimeOptions::ControlMode::Direct,
-                    RuntimeOptions::ControlMode::PerTask,
-                    RuntimeOptions::ControlMode::SharedPool}) {
+                    RuntimeOptions::ControlMode::PerTask}) {
     RuntimeOptions opts;
     opts.control = mode;
     Runtime rt(opts);
@@ -68,42 +67,43 @@ TEST(Runtime, ProducerConsumerOrder) {
 
 TEST(Runtime, IterativeCounterRoundRobin) {
   // Two tasks increment a shared counter in strict alternation; the FIFO
-  // ordering makes the interleaving deterministic.
-  constexpr int kIters = 50;
-  Runtime rt(direct_mode());
-  const LocationId loc = rt.add_location(sizeof(long));
-  std::vector<long> seen_a, seen_b;
-  const TaskId a = rt.add_task("a", [&](TaskContext& ctx) {
-    Handle& h = ctx.handle(0);
+  // ordering makes the interleaving deterministic, whether grants are
+  // delivered by the releaser (Direct) or announced to the owner's control
+  // thread (PerTask, which delivers inline when that backlog is idle).
+  constexpr int kIters = 200;
+  for (auto mode : {RuntimeOptions::ControlMode::Direct,
+                    RuntimeOptions::ControlMode::PerTask}) {
+    RuntimeOptions opts;
+    opts.control = mode;
+    Runtime rt(opts);
+    const LocationId loc = rt.add_location(sizeof(long));
+    std::vector<long> seen_a, seen_b;
+    auto body = [](std::vector<long>& seen, HandleId handle_id) {
+      return [&seen, handle_id](TaskContext& ctx) {
+        Handle& h = ctx.handle(handle_id);
+        for (int i = 0; i < kIters; ++i) {
+          auto bytes = h.acquire();
+          long& v = as_span<long>(bytes)[0];
+          seen.push_back(v);
+          v += 1;
+          h.release_and_renew();
+        }
+      };
+    };
+    const TaskId a = rt.add_task("a", body(seen_a, 0));
+    const TaskId b = rt.add_task("b", body(seen_b, 1));
+    rt.add_handle(a, loc, AccessMode::Write);
+    rt.add_handle(b, loc, AccessMode::Write);
+    rt.run();
+    ASSERT_EQ(seen_a.size(), static_cast<std::size_t>(kIters));
+    ASSERT_EQ(seen_b.size(), static_cast<std::size_t>(kIters));
+    // a sees 0,2,4,...; b sees 1,3,5,... — perfect alternation.
     for (int i = 0; i < kIters; ++i) {
-      auto bytes = h.acquire();
-      long& v = as_span<long>(bytes)[0];
-      seen_a.push_back(v);
-      v += 1;
-      h.release_and_renew();
+      EXPECT_EQ(seen_a[static_cast<std::size_t>(i)], 2 * i);
+      EXPECT_EQ(seen_b[static_cast<std::size_t>(i)], 2 * i + 1);
     }
-  });
-  const TaskId b = rt.add_task("b", [&](TaskContext& ctx) {
-    Handle& h = ctx.handle(1);
-    for (int i = 0; i < kIters; ++i) {
-      auto bytes = h.acquire();
-      long& v = as_span<long>(bytes)[0];
-      seen_b.push_back(v);
-      v += 1;
-      h.release_and_renew();
-    }
-  });
-  rt.add_handle(a, loc, AccessMode::Write);
-  rt.add_handle(b, loc, AccessMode::Write);
-  rt.run();
-  ASSERT_EQ(seen_a.size(), static_cast<std::size_t>(kIters));
-  ASSERT_EQ(seen_b.size(), static_cast<std::size_t>(kIters));
-  // a sees 0,2,4,...; b sees 1,3,5,... — perfect alternation.
-  for (int i = 0; i < kIters; ++i) {
-    EXPECT_EQ(seen_a[static_cast<std::size_t>(i)], 2 * i);
-    EXPECT_EQ(seen_b[static_cast<std::size_t>(i)], 2 * i + 1);
+    EXPECT_EQ(as_span<long>(rt.location_data(loc))[0], 2 * kIters);
   }
-  EXPECT_EQ(as_span<long>(rt.location_data(loc))[0], 2 * kIters);
 }
 
 TEST(Runtime, SharedReadersSeeSameSnapshot) {
@@ -255,50 +255,6 @@ TEST(Runtime, MeasuredFlowsTrackProducerConsumer) {
   EXPECT_EQ(flows.at(w, r), 256.0);
 }
 
-TEST(Runtime, SharedPoolValidation) {
-  RuntimeOptions opts;
-  opts.control = RuntimeOptions::ControlMode::SharedPool;
-  opts.shared_control_threads = 0;
-  EXPECT_THROW(Runtime bad(opts), ContractError);
-
-  opts.shared_control_threads = 2;
-  Runtime rt(opts);
-  EXPECT_NO_THROW(
-      rt.set_shared_control_binding(0, topo::Bitmap::single(0)));
-  EXPECT_THROW(rt.set_shared_control_binding(2, topo::Bitmap::single(0)),
-               ContractError);
-
-  Runtime per_task;  // default PerTask: shared bindings rejected
-  EXPECT_THROW(
-      per_task.set_shared_control_binding(0, topo::Bitmap::single(0)),
-      ContractError);
-}
-
-TEST(Runtime, SharedPoolDeliversAllGrants) {
-  RuntimeOptions opts;
-  opts.control = RuntimeOptions::ControlMode::SharedPool;
-  opts.shared_control_threads = 2;
-  Runtime rt(opts);
-  rt.set_shared_control_binding(0, topo::Bitmap::single(0));
-  const LocationId loc = rt.add_location(sizeof(long));
-  for (int i = 0; i < 5; ++i) {
-    rt.add_task("t" + std::to_string(i), [i](TaskContext& ctx) {
-      Handle& h = ctx.handle(i);
-      for (int round = 0; round < 20; ++round) {
-        auto bytes = h.acquire();
-        as_span<long>(bytes)[0] += 1;
-        if (round == 19)
-          h.release();
-        else
-          h.release_and_renew();
-      }
-    });
-  }
-  for (int i = 0; i < 5; ++i) rt.add_handle(i, loc, AccessMode::Write);
-  rt.run();
-  EXPECT_EQ(as_span<long>(rt.location_data(loc))[0], 100);
-}
-
 TEST(Runtime, BindingsAccepted) {
   // Binding to the first online CPU must not break execution.
   Runtime rt;
@@ -365,54 +321,38 @@ TEST(Runtime, ManyTasksManyLocationsRing) {
             static_cast<std::uint64_t>(kTasks * kRounds));
 }
 
-// Two writers alternating on one location through control threads; returns
-// the interleaving each task observed so deliveries routed inline (idle
-// backlog short-cut) and deliveries routed through the control thread can
-// be compared for semantic equality.
-std::pair<std::vector<long>, std::vector<long>> run_alternation(
-    RuntimeOptions opts, int iters) {
-  opts.control = RuntimeOptions::ControlMode::PerTask;
-  Runtime rt(opts);
+TEST(Runtime, ReleasesBalanceGrantsInAClosedRun) {
+  // Every grant of a closed run is acquired and released exactly once —
+  // by release_and_renew in every round but the last, by release in the
+  // last — so orwl.releases must equal orwl.grants.read +
+  // orwl.grants.write. One writer and three readers exercise both single
+  // and batched grant announcements.
+  constexpr int kReaders = 3;
+  constexpr int kRounds = 50;
+  Runtime rt;
   const LocationId loc = rt.add_location(sizeof(long));
-  std::vector<long> seen_a, seen_b;
-  auto body = [&](std::vector<long>& seen, HandleId handle_id) {
-    return [&seen, handle_id, iters](TaskContext& ctx) {
-      Handle& h = ctx.handle(handle_id);
-      for (int i = 0; i < iters; ++i) {
-        auto bytes = h.acquire();
-        long& v = as_span<long>(bytes)[0];
-        seen.push_back(v);
-        v += 1;
-        h.release_and_renew();
+  for (int i = 0; i <= kReaders; ++i) {
+    rt.add_task("t" + std::to_string(i), [i](TaskContext& ctx) {
+      Handle& h = ctx.handle(i);
+      for (int round = 0; round < kRounds; ++round) {
+        h.acquire();
+        if (round + 1 == kRounds)
+          h.release();
+        else
+          h.release_and_renew();
       }
-    };
-  };
-  const TaskId a = rt.add_task("a", body(seen_a, 0));
-  const TaskId b = rt.add_task("b", body(seen_b, 1));
-  rt.add_handle(a, loc, AccessMode::Write);
-  rt.add_handle(b, loc, AccessMode::Write);
-  rt.run();
-  return {std::move(seen_a), std::move(seen_b)};
-}
-
-TEST(Runtime, InlineIdleDeliveryMatchesQueuedDelivery) {
-  // The idle-backlog short-cut (deliver the grant inline instead of
-  // hopping through the control thread) must be invisible to the
-  // protocol: same strict alternation, same values, with the flag on
-  // (default) and off.
-  constexpr int kIters = 200;
-  RuntimeOptions queued;
-  queued.inline_idle_delivery = false;
-  RuntimeOptions inline_idle;
-  inline_idle.inline_idle_delivery = true;
-  const auto [qa, qb] = run_alternation(queued, kIters);
-  const auto [ia, ib] = run_alternation(inline_idle, kIters);
-  EXPECT_EQ(qa, ia);
-  EXPECT_EQ(qb, ib);
-  for (int i = 0; i < kIters; ++i) {
-    EXPECT_EQ(ia[static_cast<std::size_t>(i)], 2 * i);
-    EXPECT_EQ(ib[static_cast<std::size_t>(i)], 2 * i + 1);
+    });
   }
+  rt.add_handle(0, loc, AccessMode::Write);
+  for (int i = 1; i <= kReaders; ++i) rt.add_handle(i, loc, AccessMode::Read);
+  rt.run();
+  obs::Registry& m = rt.metrics();
+  const std::uint64_t reads = m.counter("orwl.grants.read").read();
+  const std::uint64_t writes = m.counter("orwl.grants.write").read();
+  EXPECT_EQ(reads, static_cast<std::uint64_t>(kReaders * kRounds));
+  EXPECT_EQ(writes, static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(m.counter("orwl.releases").read(), reads + writes);
+  EXPECT_EQ(rt.stats().releases(), reads + writes);
 }
 
 TEST(Runtime, AutoWaitBudgetRetunedAtEpochBoundaries) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -305,7 +306,8 @@ TEST(Lk23Model, Figure1OrderingAtFullMachine) {
 
 TEST(Calibration, FormatLoadRoundTrip) {
   CalibrationRecord rec;
-  rec.host = "measured-host";
+  rec.host = "Test CPU @ 1.00GHz | 4 PUs | 1 NUMA nodes | L3 16384K | "
+             "kernel 6.1.0";
   rec.park_wake_pair_seconds = 2.5e-7;
   rec.grant_batch_overhead_seconds = 1.25e-6;
   const std::string path = ::testing::TempDir() + "orwl_cal_roundtrip.txt";
@@ -361,6 +363,53 @@ TEST(Calibration, RejectsBadRecords) {
     out << "host box\ngrant_batch_overhead_seconds banana\n";
   }
   EXPECT_FALSE(load_calibration_file(path));
+  // Empty fingerprint.
+  {
+    std::ofstream out(path);
+    out << "host   # nothing but a comment\npark_wake_pair_seconds 1e-7\n";
+  }
+  EXPECT_FALSE(load_calibration_file(path));
+}
+
+TEST(Calibration, HostFingerprintNamesTheMachine) {
+  // A fabricated sysfs/procfs pair: 4 PUs on 2 NUMA nodes, an L1 and an
+  // L3 listed for cpu0.
+  namespace fs = std::filesystem;
+  const fs::path root = fs::path(::testing::TempDir()) / "orwl_fingerprint";
+  fs::remove_all(root);
+  const auto write = [&root](const std::string& rel, const std::string& text) {
+    fs::create_directories((root / rel).parent_path());
+    std::ofstream(root / rel) << text;
+  };
+  write("sys/devices/system/cpu/online", "0-3\n");
+  for (int cpu = 0; cpu < 4; ++cpu) {
+    const std::string dir =
+        "sys/devices/system/cpu/cpu" + std::to_string(cpu) + "/topology/";
+    write(dir + "physical_package_id", "0\n");
+    write(dir + "core_id", std::to_string(cpu) + "\n");
+  }
+  write("sys/devices/system/node/node0/cpulist", "0-1\n");
+  write("sys/devices/system/node/node1/cpulist", "2-3\n");
+  write("sys/devices/system/cpu/cpu0/cache/index0/level", "1\n");
+  write("sys/devices/system/cpu/cpu0/cache/index0/size", "32K\n");
+  write("sys/devices/system/cpu/cpu0/cache/index3/level", "3\n");
+  write("sys/devices/system/cpu/cpu0/cache/index3/size", "16384K\n");
+  write("proc/cpuinfo",
+        "processor\t: 0\nmodel name\t: Test CPU @ 1.00GHz\n");
+  write("proc/sys/kernel/osrelease", "6.1.0-test\n");
+  EXPECT_EQ(host_fingerprint((root / "sys").string(),
+                             (root / "proc").string()),
+            "Test CPU @ 1.00GHz | 4 PUs | 2 NUMA nodes | L3 16384K | "
+            "kernel 6.1.0-test");
+  // Nothing readable: every field says so, and the host counts as one node.
+  EXPECT_EQ(host_fingerprint((root / "absent").string(),
+                             (root / "absent").string()),
+            "unknown | unknown PUs | 1 NUMA nodes | L3 unknown | "
+            "kernel unknown");
+  fs::remove_all(root);
+  // The live host's fingerprint is computed once and cached.
+  EXPECT_EQ(&host_fingerprint(), &host_fingerprint());
+  EXPECT_NE(host_fingerprint().find(" PUs | "), std::string::npos);
 }
 
 TEST(Calibration, DefaultsKeepBatchOverheadEqualToGrantOverhead) {

@@ -100,7 +100,7 @@ TEST(Workloads, MeasuredFlowsMatchPredictedSupport) {
   for (const Workload& w : registry()) {
     Program p;
     const Built built = w.build(p, tiny());
-    RuntimeBackend backend;  // record_flows defaults on
+    RuntimeBackend backend;  // the runtime always records flows
     p.run(backend);
     const comm::CommMatrix measured =
         backend.runtime().measured_comm_matrix();

@@ -24,12 +24,13 @@ scheduling noise:
       compare an already-written recording instead of running the bench.
 
 This check GATES CI, with the same host escape hatch as
-check_overhead.py: when the current host differs from the one that made
-the repo's recorded baseline (context.host_name), the runner is an
-unknown, shared machine whose double-digit jitter would make red runs
-noise — the check warns and passes. A missing baseline file means the
-recording host is unknown and is treated the same way. On the recording
-host it must hold.
+check_overhead.py: when the fresh recording's host fingerprint
+(context.host_fingerprint: CPU model, PU count, NUMA nodes, L3 size,
+kernel release) differs from the one in the repo's recorded baseline,
+the runner is an unknown, shared machine whose double-digit jitter would
+make red runs noise — the check warns and passes. A missing baseline
+file, or a baseline without a fingerprint, means the recording host is
+unknown and is treated the same way. On the recording host it must hold.
 
 Exit status: 0 within tolerance (or host mismatch), 1 on regression, 2 on
 usage errors.
@@ -38,7 +39,6 @@ usage errors.
 import argparse
 import json
 import os
-import socket
 import subprocess
 import sys
 import tempfile
@@ -90,8 +90,8 @@ def main():
     ap.add_argument("--bench", help="micro_orwl_overhead binary to run")
     ap.add_argument("--fresh", help="already-written recording to compare")
     ap.add_argument("--baseline", default="BENCH_micro_orwl_overhead.json",
-                    help="recorded baseline whose context.host_name names "
-                         "the host the assertions are calibrated for")
+                    help="recorded baseline whose context.host_fingerprint "
+                         "names the host the assertions are calibrated for")
     ap.add_argument("--tolerance", type=float, default=0.10,
                     help="allowed fractional excess over the reference "
                          "case (default 0.10)")
@@ -110,11 +110,11 @@ def main():
               f"unknown — timing promises not asserted — skipping")
         return 0
     base_ctx, _ = load(args.baseline)
-    base_host = base_ctx.get("host_name", "")
-    here = socket.gethostname()
-    if base_host and here != base_host:
-        print(f"host {here!r} differs from recorded baseline host "
-              f"{base_host!r}; timing promises not asserted — skipping")
+    base_host = base_ctx.get("host_fingerprint", "")
+    if not base_host:
+        print(f"baseline {args.baseline!r} carries no host fingerprint; "
+              f"recording host unknown — timing promises not asserted — "
+              f"skipping")
         return 0
 
     if args.bench:
@@ -127,9 +127,14 @@ def main():
                    "--json", out]
             print("+", " ".join(cmd))
             subprocess.run(cmd, check=True)
-            _, medians = load(out)
+            fresh_ctx, medians = load(out)
     else:
-        _, medians = load(args.fresh)
+        fresh_ctx, medians = load(args.fresh)
+    here = fresh_ctx.get("host_fingerprint", "")
+    if here != base_host:
+        print(f"host {here!r} differs from recorded baseline host "
+              f"{base_host!r}; timing promises not asserted — skipping")
+        return 0
 
     failed = check_pairs(AUTO_PAIRS, medians, args.tolerance,
                          "spin_then_park(auto)")

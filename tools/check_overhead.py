@@ -19,7 +19,9 @@ The default tolerance is deliberately generous (50%): CI machines are
 noisy and shared, and the point is to catch a hook that turned into a
 syscall or a lock — an order-of-magnitude smell — not to re-litigate
 single-digit noise. Recordings made on different hosts are incomparable;
-the check warns and passes when host names differ.
+the check warns and passes when the two recordings' host fingerprints
+(context.host_fingerprint: CPU model, PU count, NUMA nodes, L3 size,
+kernel release) differ or either one lacks a fingerprint.
 
 Exit status: 0 within tolerance (or hosts differ), 1 on regression, 2 on
 usage errors.
@@ -67,10 +69,10 @@ def main():
     else:
         fresh_ctx, fresh = load(args.fresh)
 
-    base_host = base_ctx.get("host_name", "")
-    fresh_host = fresh_ctx.get("host_name", "")
-    if base_host and fresh_host and base_host != fresh_host:
-        print(f"hosts differ ({fresh_host} vs recorded {base_host}); "
+    base_host = base_ctx.get("host_fingerprint", "")
+    fresh_host = fresh_ctx.get("host_fingerprint", "")
+    if not base_host or base_host != fresh_host:
+        print(f"hosts differ ({fresh_host!r} vs recorded {base_host!r}); "
               "timings are incomparable — skipping")
         return 0
 
